@@ -1,8 +1,9 @@
 //! Criterion benchmark behind Figure 7: throughput of the sweep kernels at
-//! several pointer densities.
+//! several pointer densities, plus the §3.5 parallel engine on four
+//! workers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use revoker::{Kernel, ShadowMap, Sweeper};
+use revoker::{Kernel, NoFilter, ParallelSweepEngine, SegmentSource, ShadowMap};
 
 const IMAGE_BYTES: u64 = 8 << 20;
 
@@ -16,20 +17,19 @@ fn bench_kernels(c: &mut Criterion) {
         let mut shadow = ShadowMap::new(mem.base(), mem.len());
         // Paint a quarter of the heap so revocation stores happen.
         shadow.paint(mem.base(), mem.len() / 4);
-        for (name, kernel) in [
-            ("simple", Kernel::Simple),
-            ("unrolled", Kernel::Unrolled),
-            ("wide", Kernel::Wide),
-            ("parallel4", Kernel::Parallel { threads: 4 }),
+        for (name, kernel, workers) in [
+            ("simple", Kernel::Simple, 1),
+            ("unrolled", Kernel::Unrolled, 1),
+            ("wide", Kernel::Wide, 1),
+            ("parallel4", Kernel::Wide, 4),
         ] {
             group.bench_with_input(
                 BenchmarkId::new(name, format!("density{density}")),
-                &kernel,
-                |b, &kernel| {
-                    let sweeper = Sweeper::new(kernel);
+                &ParallelSweepEngine::new(kernel, workers),
+                |b, engine| {
                     b.iter_batched(
                         || mem.clone(),
-                        |mut img| sweeper.sweep_segment(&mut img, &shadow),
+                        |mut img| engine.sweep(SegmentSource::new(&mut img), NoFilter, &shadow),
                         criterion::BatchSize::LargeInput,
                     );
                 },

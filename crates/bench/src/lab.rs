@@ -45,7 +45,8 @@ pub const CHAOS_SMOKE_PLAN: &str =
 pub struct LabMatrix {
     /// Table-2 workload names (`omnetpp`, `xalancbmk`, …).
     pub workloads: Vec<String>,
-    /// Kernel names: `reference`, `wide`, `fast`.
+    /// Kernel names, as [`Kernel::from_name`] parses them: `reference`,
+    /// `wide`, `fast`, ….
     pub kernels: Vec<String>,
     /// Sweep worker counts per sweep (1 = sequential engine).
     pub sweep_workers: Vec<usize>,
@@ -68,7 +69,7 @@ impl LabMatrix {
     }
 
     /// The full characterisation matrix (the paper's axes: 4 workloads ×
-    /// 4 kernels × 4 worker counts × 2 fault plans × 3 backends = 384
+    /// 3 kernels × 4 worker counts × 2 fault plans × 3 backends = 288
     /// experiments).
     pub fn full() -> LabMatrix {
         LabMatrix {
@@ -78,12 +79,7 @@ impl LabMatrix {
                 "dealII".into(),
                 "mcf".into(),
             ],
-            kernels: vec![
-                "reference".into(),
-                "wide".into(),
-                "fast".into(),
-                "simd".into(),
-            ],
+            kernels: vec!["reference".into(), "wide".into(), "fast".into()],
             sweep_workers: vec![1, 2, 4, 8],
             fault_plans: vec!["off".into(), "chaos-smoke".into()],
             backends: vec!["stock".into(), "colored".into(), "hierarchical".into()],
@@ -120,7 +116,7 @@ impl LabMatrix {
 pub struct ExperimentConfig {
     /// Table-2 workload name.
     pub workload: String,
-    /// Kernel name (`reference` / `wide` / `fast` / `simd`).
+    /// Kernel name (`reference` / `wide` / `fast`; see [`Kernel::from_name`]).
     pub kernel: String,
     /// Sweep workers per sweep.
     pub sweep_workers: usize,
@@ -141,14 +137,7 @@ impl ExperimentConfig {
     }
 
     fn kernel(&self) -> Result<Kernel, String> {
-        match self.kernel.as_str() {
-            "reference" => Ok(Kernel::Simple),
-            "unrolled" => Ok(Kernel::Unrolled),
-            "wide" => Ok(Kernel::Wide),
-            "fast" => Ok(Kernel::Fast),
-            "simd" => Ok(Kernel::Simd),
-            other => Err(format!("unknown kernel '{other}'")),
-        }
+        Kernel::from_name(&self.kernel).ok_or_else(|| format!("unknown kernel '{}'", self.kernel))
     }
 
     fn fault_mode(&self) -> Result<FaultMode, String> {
@@ -472,7 +461,7 @@ pub fn run_experiment(
 fn rel_spread_pct(samples: &[f64]) -> f64 {
     let max = samples.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
     let min = samples.iter().fold(f64::INFINITY, |a, &b| a.min(b));
-    if !(max > 0.0) {
+    if max.is_nan() || max <= 0.0 {
         return 0.0;
     }
     (max - min) / max * 100.0
@@ -528,6 +517,25 @@ mod tests {
             .rules()
             .iter()
             .all(|r| r.point != cherivoke::fault::FaultPoint::AllocFailure));
+    }
+
+    #[test]
+    fn lab_and_env_kernel_names_agree() {
+        // `CHERIVOKE_KERNEL` and the lab's kernel axis name the same kernel
+        // for every accepted name, and every kernel in either matrix parses.
+        let mut config = LabMatrix::smoke().expand().remove(0);
+        let names = Kernel::ALL.map(Kernel::name);
+        for name in names.into_iter().chain(["reference"]) {
+            config.kernel = name.into();
+            let (env_kernel, warning) = revoker::parse_kernel(name);
+            assert!(warning.is_none(), "{name}");
+            assert_eq!(config.kernel(), Ok(env_kernel), "{name}");
+        }
+        for matrix in [LabMatrix::smoke(), LabMatrix::full()] {
+            for name in matrix.kernels {
+                assert!(Kernel::from_name(&name).is_some(), "{name}");
+            }
+        }
     }
 
     #[test]

@@ -87,16 +87,14 @@ pub fn json_mode() -> bool {
 /// sweeps, then the fastest of five timed ones. Every host-measured
 /// sweep number in the experiment binaries comes through here, so
 /// figures, the Criterion benches and the runtime share one visitation
-/// order. Both choices are noise armor. The warm-up matters for the
-/// vector kernel: a core's first 256-bit µops execute at reduced
-/// throughput until its AVX voltage/frequency transition completes, and
-/// without it that one-off license ramp is charged to whichever kernel
-/// happens to run first. Min-time (rather than a median) is the right
-/// estimator for a *capability* number on a shared host: a sweep is a
-/// few hundred microseconds, so one hypervisor preemption slice landing
-/// inside a rep inflates it by an order of magnitude, and on a noisy
-/// guest a majority of reps can be hit — the minimum is the rep the
-/// interference missed.
+/// order. Both choices are noise armor. The warm-up keeps one-off
+/// start-up costs (cold caches, the core's frequency ramp) from being
+/// charged to whichever kernel happens to run first. Min-time (rather
+/// than a median) is the right estimator for a *capability* number on a
+/// shared host: a sweep is a few hundred microseconds, so one hypervisor
+/// preemption slice landing inside a rep inflates it by an order of
+/// magnitude, and on a noisy guest a majority of reps can be hit — the
+/// minimum is the rep the interference missed.
 pub fn engine_sweep_rate(
     kernel: Kernel,
     workers: usize,
@@ -215,10 +213,10 @@ pub fn image_with_clustered_caps(len: u64, d: f64) -> TaggedMemory {
 /// Builds a **mixed-density** image: pages alternate between
 /// capability-dense (a self-cap in every granule, as in
 /// [`image_with_self_caps`] at full density) and capability-free. This is
-/// the adversarial shape for a vector kernel's clean-span skip: every
-/// other page the sweep flips between the bulk skip path and the
-/// lane-parallel decode path, so branchy dispatch overhead shows up here
-/// before it shows up on uniformly dense or uniformly sparse images.
+/// the adversarial shape for a kernel's empty-tag-word skip: every other
+/// page the sweep flips between skipping whole tag words and decoding
+/// every granule, so branchy dispatch overhead shows up here before it
+/// shows up on uniformly dense or uniformly sparse images.
 pub fn image_with_mixed_pages(len: u64) -> TaggedMemory {
     let base = 0x1000_0000u64;
     let mut mem = TaggedMemory::new(base, len);

@@ -70,50 +70,6 @@ pub fn fast_kernel_verdict() -> Verdict {
     }
 }
 
-/// The simd-kernel acceptance bar: [`Kernel::Simd`] must clear 2× the
-/// word-at-a-time fast kernel on a **dense** image (25% uniformly spread
-/// self-caps — no tag word is skippable, so lane-parallel decode is doing
-/// the work, not the clean-span skip) with a quarter of the heap painted.
-/// Warmed best-of-five via [`crate::engine_sweep_rate`], same as the
-/// fast-kernel bar, but a below-bar reading is re-measured (up to three
-/// attempts, best ratio) before it is believed: the vector kernel runs at
-/// DRAM bandwidth, so a noisy neighbor's memory traffic suppresses it far
-/// more than the scalar tiers it is compared against, and one burst of
-/// contention would otherwise fail a bar the kernel clears with margin on
-/// a quiet host — the same confirm-before-fail policy the trajectory gate
-/// applies to wall-clock regressions.
-pub fn simd_kernel_verdict() -> Verdict {
-    let mem = crate::image_with_self_caps(FAST_VERDICT_IMAGE_BYTES, 0.25);
-    let mut shadow = ShadowMap::new(mem.base(), mem.len());
-    shadow.paint(mem.base(), mem.len() / 4);
-    let mut fast = 0.0f64;
-    let mut simd = 0.0f64;
-    let mut speedup = 0.0f64;
-    for _ in 0..3 {
-        let f = crate::engine_sweep_rate(Kernel::Fast, 1, &mem, &shadow);
-        let s = crate::engine_sweep_rate(Kernel::Simd, 1, &mem, &shadow);
-        if s / f > speedup {
-            speedup = s / f;
-            fast = f;
-            simd = s;
-        }
-        if speedup >= 2.0 {
-            break;
-        }
-    }
-    let pass = speedup >= 2.0;
-    Verdict {
-        name: "simd_kernel".to_string(),
-        pass,
-        value: speedup,
-        target: 2.0,
-        detail: format!(
-            "{fast:.0} MiB/s fast, {simd:.0} MiB/s simd on the dense image, {speedup:.2}x, \
-             target 2.00x"
-        ),
-    }
-}
-
 /// Median of three timed runs of `f`, in nanoseconds per iteration.
 pub fn ns_per_iter(iters: u64, mut f: impl FnMut(u64)) -> f64 {
     let mut samples = [0.0f64; 3];
@@ -242,9 +198,9 @@ pub fn backend_sweep_avoidance_verdict() -> Verdict {
 /// block cost of each side. Interleaving spreads host drift evenly over
 /// both sides, and the medians discard the outlier blocks. A failing reading escalates to fresh
 /// attempts (up to four, best median believed) before it is reported —
-/// the same confirm-before-fail policy as [`simd_kernel_verdict`]:
-/// symmetric noise cannot fail four consecutive attempts, a real
-/// multi-percent regression fails all of them.
+/// the same confirm-before-fail policy the trajectory gate applies to
+/// wall-clock regressions: symmetric noise cannot fail four consecutive
+/// attempts, a real multi-percent regression fails all of them.
 pub fn journal_overhead_verdict(iters: u64) -> Verdict {
     use cherivoke::HeapClient;
     struct Churn {

@@ -118,22 +118,6 @@ impl CapWord {
         CompressedBounds::from_raw(e, b, t).decode_base_partial(lo)
     }
 
-    /// Four [`CapWord::base_from_halves`] decodes in one call, batched the
-    /// way a 256-bit vector lane holds them (lane `i` of `lo`/`hi` is the
-    /// low/high half of candidate word `i`). SIMD sweep kernels use this as
-    /// the scalar anchor their lane-parallel decode must match bit-for-bit,
-    /// and as the batch shape the compiler can keep in flight when vector
-    /// units are unavailable.
-    #[inline]
-    pub fn bases_from_halves_x4(lo: [u64; 4], hi: [u64; 4]) -> [u64; 4] {
-        [
-            CapWord::base_from_halves(lo[0], hi[0]),
-            CapWord::base_from_halves(lo[1], hi[1]),
-            CapWord::base_from_halves(lo[2], hi[2]),
-            CapWord::base_from_halves(lo[3], hi[3]),
-        ]
-    }
-
     /// The raw 128-bit value.
     #[inline]
     pub const fn bits(self) -> u128 {
@@ -251,25 +235,6 @@ mod tests {
             let (lo, hi) = (next(), next());
             let w = CapWord::from_bits((u128::from(hi) << 64) | u128::from(lo));
             assert_eq!(CapWord::base_from_halves(lo, hi), w.base());
-        }
-    }
-
-    #[test]
-    fn batched_bases_match_single_decodes() {
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-        };
-        for _ in 0..2_500 {
-            let lo = [next(), next(), next(), next()];
-            let hi = [next(), next(), next(), next()];
-            let batch = CapWord::bases_from_halves_x4(lo, hi);
-            for i in 0..4 {
-                assert_eq!(batch[i], CapWord::base_from_halves(lo[i], hi[i]));
-            }
         }
     }
 

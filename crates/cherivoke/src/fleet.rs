@@ -1645,8 +1645,12 @@ mod tests {
         silence_injected_panics();
         let (config, _) = config.validated().unwrap();
         let (first_base, stride, rounded) = tenant_layout(&config);
+        // Tests run in parallel and several crash the same (tenant, point),
+        // so each call gets its own directory.
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!(
-            "cvk-fleet-crash-{}-t{tenant}-{}",
+            "cvk-fleet-crash-{}-{call}-t{tenant}-{}",
             std::process::id(),
             point.name()
         ));

@@ -1704,7 +1704,8 @@ mod tests {
         use revoker::fault::{silence_injected_panics, FaultInjector, FaultPlan, FaultRule};
         silence_injected_panics();
         let dir = std::env::temp_dir().join(format!(
-            "cvk-heap-crash-{}-{}",
+            "cvk-heap-crash-{}-{}-{}",
+            std::process::id(),
             point.name(),
             backend.name()
         ));

@@ -60,10 +60,10 @@ impl RevocationPolicy {
     /// The configuration evaluated in the paper: 25% quarantine, buffered
     /// (non-strict) revocation, optimised kernel, CapDirty page skipping.
     ///
-    /// The kernel honours `CHERIVOKE_KERNEL=reference|wide|simple|unrolled|fast|simd`
-    /// (and, deprecated, the boolean `CHERIVOKE_FAST_KERNEL`), defaulting
-    /// to the word-at-a-time fast path; unrecognised values warn and fall
-    /// back instead of panicking (see [`revoker::kernel_from_env`]).
+    /// The kernel honours `CHERIVOKE_KERNEL=simple|unrolled|wide|fast`
+    /// (`reference` is `simple`), defaulting to the word-at-a-time fast
+    /// path; unrecognised values warn and fall back instead of panicking
+    /// (see [`revoker::kernel_from_env`]).
     pub fn paper_default() -> RevocationPolicy {
         RevocationPolicy {
             quarantine: QuarantineConfig::paper_default(),
@@ -267,13 +267,16 @@ mod tests {
     fn with_fraction_overrides_only_quarantine() {
         let p = RevocationPolicy::with_fraction(1.0);
         assert_eq!(p.quarantine.fraction, 1.0);
-        // The kernel is env-selected (CHERIVOKE_KERNEL, or the deprecated
-        // CHERIVOKE_FAST_KERNEL; default fast): any named sequential tier.
+        // Every other field, the env-selected kernel (CHERIVOKE_KERNEL,
+        // default fast) included, is the paper default's.
         assert_eq!(p.kernel, Kernel::from_env());
-        assert!(matches!(
-            p.kernel,
-            Kernel::Fast | Kernel::Wide | Kernel::Simd | Kernel::Simple | Kernel::Unrolled
-        ));
+        assert_eq!(
+            p,
+            RevocationPolicy {
+                quarantine: p.quarantine,
+                ..RevocationPolicy::paper_default()
+            }
+        );
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //! * [`ConservativeImage`] — a memory image preprocessed exactly as §5.3
 //!   describes (non-pointer words zeroed).
 //! * [`ConsKernel`] — the fig. 7 tiers as engine
-//!   [`RevokeKernel`](crate::engine::RevokeKernel)s over such images:
+//!   [`RevokeKernel`]s over such images:
 //!   scalar, manually unrolled, and a genuine AVX2 implementation
 //!   (`std::arch`) used when the host supports it.
-//! * [`ImageSource`] — the [`CapSource`](crate::engine::CapSource)
+//! * [`ImageSource`] — the [`CapSource`]
 //!   adapter, so images sweep through the same
-//!   [`SweepEngine`](crate::engine::SweepEngine) as tagged memory.
+//!   [`SweepEngine`] as tagged memory.
 //! * [`sweep_scalar`] / [`sweep_unrolled`] / [`sweep_avx2`] — convenience
 //!   wrappers composing the above.
 //!
@@ -112,7 +112,7 @@ impl TagProbe for ConservativeImage {
     }
 }
 
-/// A [`CapSource`](crate::engine::CapSource) walking one conservative
+/// A [`CapSource`] walking one conservative
 /// image as a single region.
 pub struct ImageSource<'a>(&'a mut ConservativeImage);
 
@@ -286,8 +286,8 @@ fn scan_avx2(words: &mut [u64], shadow: &ShadowMap) -> (u64, u64) {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod simd {
-    //! One of the workspace's two `unsafe` islands (the other is the
-    //! `Kernel::Simd` sweep kernel in `sweep.rs`): AVX2 intrinsics for the
+    //! The workspace's only `unsafe` island outside the counting
+    //! allocators of the allocation-free tests: AVX2 intrinsics for the
     //! fig. 7 vector tier. Soundness rests on (a) the caller's runtime
     //! `is_x86_feature_detected!("avx2")` check and (b) `loadu` tolerating
     //! unaligned addresses, so any `&[u64]` chunk of ≥ 4 words is valid.

@@ -755,114 +755,43 @@ pub fn workers_from_env() -> usize {
     }
 }
 
-/// Validates a raw `CHERIVOKE_FAST_KERNEL` value. Returns whether the
-/// fast kernel is enabled plus a warning when the value was not
-/// recognised (unrecognised values keep the default: enabled).
-pub fn parse_fast_kernel(raw: &str) -> (bool, Option<String>) {
-    let v = raw.trim();
-    if v.is_empty()
-        || v.eq_ignore_ascii_case("1")
-        || v.eq_ignore_ascii_case("true")
-        || v.eq_ignore_ascii_case("on")
-    {
-        (true, None)
-    } else if v.eq_ignore_ascii_case("0")
-        || v.eq_ignore_ascii_case("false")
-        || v.eq_ignore_ascii_case("off")
-    {
-        (false, None)
-    } else {
-        (
-            true,
-            Some(format!(
-                "CHERIVOKE_FAST_KERNEL={v:?} is not recognised (expected 0/1/true/false/on/off); \
-                 keeping the fast kernel enabled"
-            )),
-        )
-    }
-}
-
-/// Whether the word-at-a-time fast sweep kernel is enabled, from the
-/// `CHERIVOKE_FAST_KERNEL` environment variable. **Default on**: unset,
-/// empty, `1`, `true` and `on` enable it; `0`, `false` and `off` fall
-/// back to [`Kernel::Wide`]. Unrecognised values warn once to stderr and
-/// keep the default.
-pub fn fast_kernel_from_env() -> bool {
-    match std::env::var("CHERIVOKE_FAST_KERNEL") {
-        Err(_) => true,
-        Ok(raw) => {
-            let (enabled, warning) = parse_fast_kernel(&raw);
-            if let Some(msg) = warning {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| eprintln!("warning: {msg}"));
-            }
-            enabled
-        }
-    }
-}
-
 /// Validates a raw `CHERIVOKE_KERNEL` value. Returns the kernel to use
 /// plus a warning when the value was not recognised (unrecognised values
 /// keep the default: [`Kernel::Fast`]).
 ///
-/// Accepted names (case-insensitive): `reference` (or `wide` — the
-/// bit-parallel reference tier), `simple`, `unrolled`, `fast`, and `simd`.
+/// Accepts exactly the names [`Kernel::from_name`] does; an empty value
+/// means the default.
 pub fn parse_kernel(raw: &str) -> (Kernel, Option<String>) {
     let v = raw.trim();
-    if v.eq_ignore_ascii_case("reference") || v.eq_ignore_ascii_case("wide") {
-        (Kernel::Wide, None)
-    } else if v.eq_ignore_ascii_case("simple") {
-        (Kernel::Simple, None)
-    } else if v.eq_ignore_ascii_case("unrolled") {
-        (Kernel::Unrolled, None)
-    } else if v.eq_ignore_ascii_case("fast") || v.is_empty() {
-        (Kernel::Fast, None)
-    } else if v.eq_ignore_ascii_case("simd") {
-        (Kernel::Simd, None)
-    } else {
-        (
+    if v.is_empty() {
+        return (Kernel::Fast, None);
+    }
+    match Kernel::from_name(v) {
+        Some(kernel) => (kernel, None),
+        None => (
             Kernel::Fast,
             Some(format!(
                 "CHERIVOKE_KERNEL={v:?} is not recognised \
-                 (expected reference|wide|simple|unrolled|fast|simd); using the fast kernel"
+                 (expected simple|unrolled|wide|fast|reference); using the fast kernel"
             )),
-        )
+        ),
     }
 }
 
-/// The sweep kernel selected by the environment, unifying the kernel
-/// knobs behind one clamp+warn parse:
-///
-/// * `CHERIVOKE_KERNEL=reference|wide|simple|unrolled|fast|simd` picks a
-///   kernel by name and takes precedence; unrecognised values warn once
-///   to stderr and fall back to [`Kernel::Fast`] instead of panicking.
-/// * Otherwise the deprecated boolean `CHERIVOKE_FAST_KERNEL` is still
-///   honoured (with a one-time deprecation warning pointing at the new
-///   variable): enabled → [`Kernel::Fast`], disabled → [`Kernel::Wide`].
-/// * With neither set, the default is [`Kernel::Fast`].
+/// The sweep kernel selected by `CHERIVOKE_KERNEL`, by name (see
+/// [`parse_kernel`]). Unset means [`Kernel::Fast`]; unrecognised values
+/// warn once to stderr and fall back to [`Kernel::Fast`] instead of
+/// panicking.
 pub fn kernel_from_env() -> Kernel {
-    if let Ok(raw) = std::env::var("CHERIVOKE_KERNEL") {
-        let (kernel, warning) = parse_kernel(&raw);
-        if let Some(msg) = warning {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| eprintln!("warning: {msg}"));
-        }
-        return kernel;
+    let Ok(raw) = std::env::var("CHERIVOKE_KERNEL") else {
+        return Kernel::Fast;
+    };
+    let (kernel, warning) = parse_kernel(&raw);
+    if let Some(msg) = warning {
+        static WARNED: std::sync::Once = std::sync::Once::new();
+        WARNED.call_once(|| eprintln!("warning: {msg}"));
     }
-    if std::env::var("CHERIVOKE_FAST_KERNEL").is_ok() {
-        static DEPRECATED: std::sync::Once = std::sync::Once::new();
-        DEPRECATED.call_once(|| {
-            eprintln!(
-                "warning: CHERIVOKE_FAST_KERNEL is deprecated; \
-                 use CHERIVOKE_KERNEL=fast|wide (or reference|simple|unrolled|simd) instead"
-            )
-        });
-        if fast_kernel_from_env() {
-            return Kernel::Fast;
-        }
-        return Kernel::Wide;
-    }
-    Kernel::Fast
+    kernel
 }
 
 /// The parallel sweep engine (§3.5): plans the identical chunk list the
@@ -913,9 +842,8 @@ impl ParallelSweepEngine {
     /// Arms fault injection: sweep chunks then run under `catch_unwind`
     /// with injected [`FaultPoint::SweepWorkerPanic`] /
     /// [`FaultPoint::TagReadError`] faults, recovering by retrying the
-    /// poisoned chunk on the sequential reference kernel
-    /// ([`Kernel::Wide`]). A disabled injector (the default) keeps the
-    /// unguarded fast path.
+    /// poisoned chunk on a sequential [`Kernel::Wide`]. A disabled
+    /// injector (the default) keeps the unguarded fast path.
     pub fn with_faults(mut self, faults: FaultInjector) -> ParallelSweepEngine {
         self.faults = faults;
         self
@@ -1062,11 +990,10 @@ fn tag_cache_line_coverage() -> u64 {
 /// `catch_unwind`, no extra branches beyond the enablement check. Armed,
 /// the chunk runs under [`std::panic::catch_unwind`] with injected
 /// [`FaultPoint::SweepWorkerPanic`] / [`FaultPoint::TagReadError`] faults;
-/// a panicking chunk is retried once on the sequential reference kernel
-/// ([`Kernel::Wide`]), which is sound because revocation is idempotent —
-/// kernels only *clear* tags, never set them, so re-sweeping a partially
-/// swept chunk revokes exactly the capabilities the aborted attempt
-/// missed. A panicked attempt's partial stats are discarded (the retry
+/// a panicking chunk is retried once on a sequential [`Kernel::Wide`],
+/// which is sound because revocation is idempotent — kernels only *clear*
+/// tags, never set them, so re-sweeping a partially swept chunk revokes
+/// exactly the capabilities the aborted attempt missed. A panicked attempt's partial stats are discarded (the retry
 /// re-counts what is still tagged), so `caps_revoked` stays exact while
 /// `caps_inspected` may undercount caps revoked by the aborted attempt.
 /// A second panic is a genuine kernel bug and propagates.
@@ -1308,7 +1235,7 @@ fn execute_chunks(
                 })
             })
             .collect();
-        // A worker only panics when even the reference-kernel retry in
+        // A worker only panics when even the Wide-kernel retry in
         // `run_chunk_guarded` failed (a genuine kernel bug, not an
         // injected fault); propagate it with its original payload.
         handles
@@ -1433,7 +1360,7 @@ mod tests {
             assert!(faulted.chunks_retried > 0, "workers={workers}");
             assert!(inj.fired(FaultPoint::SweepWorkerPanic) > 0);
             // Injected panics fire before the kernel touches the chunk
-            // and the retry runs the reference kernel over the whole
+            // and the retry runs the Wide kernel over the whole
             // window, so results and stats are identical to a clean run.
             let mut normalised = faulted;
             normalised.chunks_retried = 0;
@@ -1517,55 +1444,33 @@ mod tests {
     }
 
     #[test]
-    fn parse_fast_kernel_recognises_switches() {
-        for on in ["", "1", "true", "on", "TRUE", " 1 "] {
-            assert_eq!(parse_fast_kernel(on), (true, None), "{on:?}");
-        }
-        for off in ["0", "false", "off", "FALSE", " 0 "] {
-            assert_eq!(parse_fast_kernel(off), (false, None), "{off:?}");
-        }
-        let (enabled, warn) = parse_fast_kernel("banana");
-        assert!(enabled, "unrecognised values keep the default");
-        assert!(warn.unwrap().contains("not recognised"));
-    }
-
-    #[test]
     fn parse_kernel_recognises_names_and_clamps() {
         for (name, kernel) in [
-            ("reference", Kernel::Wide),
-            ("wide", Kernel::Wide),
+            ("reference", Kernel::Simple),
             ("simple", Kernel::Simple),
             ("unrolled", Kernel::Unrolled),
+            ("wide", Kernel::Wide),
+            ("WIDE", Kernel::Wide),
             ("fast", Kernel::Fast),
-            ("simd", Kernel::Simd),
-            ("SIMD", Kernel::Simd),
             (" Fast ", Kernel::Fast),
             ("", Kernel::Fast),
         ] {
             assert_eq!(parse_kernel(name), (kernel, None), "{name:?}");
         }
-        let (kernel, warn) = parse_kernel("banana");
-        assert_eq!(kernel, Kernel::Fast, "unrecognised values fall back");
-        assert!(warn.unwrap().contains("not recognised"));
+        for unknown in ["banana", "simd", "parallel"] {
+            let (kernel, warn) = parse_kernel(unknown);
+            assert_eq!(kernel, Kernel::Fast, "unrecognised values fall back");
+            assert!(warn.unwrap().contains("not recognised"), "{unknown:?}");
+        }
     }
 
     #[test]
     fn kernel_from_env_agrees_with_parse() {
-        // The variables may or may not be set by CI's matrix; either way
-        // kernel_from_env must agree with the pure parse functions.
+        // CI's matrix may or may not set the variable; either way
+        // kernel_from_env must agree with the pure parse function.
         match std::env::var("CHERIVOKE_KERNEL") {
             Ok(v) => assert_eq!(kernel_from_env(), parse_kernel(&v).0),
-            Err(_) => match std::env::var("CHERIVOKE_FAST_KERNEL") {
-                Ok(v) => {
-                    let expect = if parse_fast_kernel(&v).0 {
-                        Kernel::Fast
-                    } else {
-                        Kernel::Wide
-                    };
-                    assert_eq!(kernel_from_env(), expect);
-                }
-                Err(_) => assert_eq!(kernel_from_env(), Kernel::Fast),
-            },
+            Err(_) => assert_eq!(kernel_from_env(), Kernel::Fast),
         }
     }
 

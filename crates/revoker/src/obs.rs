@@ -74,7 +74,7 @@ impl SweepTelemetry {
     }
 
     /// Records a sweep that recovered from `chunks` panicking chunks by
-    /// retrying them on the reference kernel. `kernel` is the kernel
+    /// retrying them on the sequential Wide kernel. `kernel` is the kernel
     /// whose chunks panicked.
     pub fn observe_retries(&self, chunks: u64, kernel: &'static str) {
         if !self.is_enabled() {
@@ -261,9 +261,11 @@ mod tests {
     #[test]
     fn cost_freeness_composes() {
         use crate::engine::NoCost;
-        assert!(<NoCost as SweepCost>::IS_FREE);
-        assert!(<(NoCost, NoCost) as SweepCost>::IS_FREE);
-        assert!(!<TelemetryCost as SweepCost>::IS_FREE);
-        assert!(!<(NoCost, TelemetryCost) as SweepCost>::IS_FREE);
+        const {
+            assert!(<NoCost as SweepCost>::IS_FREE);
+            assert!(<(NoCost, NoCost) as SweepCost>::IS_FREE);
+            assert!(!<TelemetryCost as SweepCost>::IS_FREE);
+            assert!(!<(NoCost, TelemetryCost) as SweepCost>::IS_FREE);
+        }
     }
 }

@@ -233,14 +233,6 @@ impl ShadowMap {
         }
     }
 
-    /// The raw pieces of the [`ShadowMap::painted_bit`] computation —
-    /// `(heap_base, granules, bit words)` — for the vector sweep kernel,
-    /// which replays the same lookup with the per-call empty and bounds
-    /// checks hoisted out of its inner loop.
-    pub(crate) fn raw_parts(&self) -> (u64, u64, &[u64]) {
-        (self.heap_base, self.granules, &self.bits)
-    }
-
     /// [`ShadowMap::is_painted`] as a branch-free 0/1 — the sweep kernels'
     /// inner-loop form. Out-of-coverage addresses (including anything
     /// below the heap base, via the wrapping subtraction) select word 0

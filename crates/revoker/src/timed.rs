@@ -10,7 +10,7 @@
 //! *lose* to page skipping at high line density (§6.3).
 //!
 //! The timed path is the *same walk* as the functional path: it runs the
-//! [`SweepEngine`](crate::engine::SweepEngine) with a [`SweepCost`] hook
+//! [`SweepEngine`] with a [`SweepCost`] hook
 //! that charges each access to the machine, so the visitation order (and
 //! therefore the revocation set) cannot diverge from an untimed sweep by
 //! construction. Each [`TimedMode`] is just a different

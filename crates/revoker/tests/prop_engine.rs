@@ -48,7 +48,6 @@ fn kernels() -> impl Strategy<Value = Kernel> {
         Just(Kernel::Unrolled),
         Just(Kernel::Wide),
         Just(Kernel::Fast),
-        Just(Kernel::Simd),
     ]
 }
 

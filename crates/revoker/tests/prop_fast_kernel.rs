@@ -1,13 +1,9 @@
-//! Property tests pinning the word-at-a-time fast kernel and the vector
-//! kernel to the wide reference tier: for any random heap image, paint
-//! set, filter and worker count, [`Kernel::Fast`] and [`Kernel::Simd`]
-//! revoke exactly the same capability set with exactly the same
-//! [`SweepStats`] as [`Kernel::Wide`]. The fast path's shortcuts —
-//! partial base-only decode, shadow-word screening, the empty-shadow bulk
-//! fall-through — and the simd tier's lane-parallel decode, clean-span
-//! skip, and prefetching must be invisible except in time. (The simd
-//! tier's *forced scalar fallback* is pinned separately in
-//! `prop_simd_fallback.rs`, which owns the process-global test hook.)
+//! Property tests pinning the word-at-a-time fast kernel to the wide
+//! reference tier: for any random heap image, paint set, filter and worker
+//! count, [`Kernel::Fast`] revokes exactly the same capability set with
+//! exactly the same [`SweepStats`] as [`Kernel::Wide`]. The fast path's
+//! shortcuts — partial base-only decode, shadow-word screening, the
+//! empty-shadow bulk fall-through — must be invisible except in time.
 
 use cheri::Capability;
 use proptest::prelude::*;
@@ -117,35 +113,34 @@ where
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Unfiltered and line-granular sweeps: fast == simd == wide, bit for
+    /// Unfiltered and line-granular sweeps: fast == wide, bit for
     /// bit — memory, tags and every stats counter.
     #[test]
     fn fast_matches_wide_sequential(
         plants in planted(),
         paint in painted_granules(),
     ) {
-        for kernel in [Kernel::Fast, Kernel::Simd] {
-            let (wide_mem, wide_stats) = reference(&plants, &paint, NoFilter);
-            let (mut mem, shadow) = build(&plants, &paint);
-            let stats = SweepEngine::new(kernel)
-                .sweep(SegmentSource::new(&mut mem), NoFilter, &shadow);
-            prop_assert_eq!(&mem, &wide_mem, "{:?} kernel revoked a different set", kernel);
-            prop_assert_eq!(stats, wide_stats);
+        let kernel = Kernel::Fast;
+        let (wide_mem, wide_stats) = reference(&plants, &paint, NoFilter);
+        let (mut mem, shadow) = build(&plants, &paint);
+        let stats = SweepEngine::new(kernel)
+            .sweep(SegmentSource::new(&mut mem), NoFilter, &shadow);
+        prop_assert_eq!(&mem, &wide_mem, "{:?} kernel revoked a different set", kernel);
+        prop_assert_eq!(stats, wide_stats);
 
-            let (wide_mem, wide_stats) = reference(&plants, &paint, EveryLine);
-            let (mut mem, shadow) = build(&plants, &paint);
-            let stats = SweepEngine::new(kernel)
-                .sweep(SegmentSource::new(&mut mem), EveryLine, &shadow);
-            prop_assert_eq!(&mem, &wide_mem, "line-granular {:?} sweep diverged", kernel);
-            prop_assert_eq!(stats, wide_stats);
+        let (wide_mem, wide_stats) = reference(&plants, &paint, EveryLine);
+        let (mut mem, shadow) = build(&plants, &paint);
+        let stats = SweepEngine::new(kernel)
+            .sweep(SegmentSource::new(&mut mem), EveryLine, &shadow);
+        prop_assert_eq!(&mem, &wide_mem, "line-granular {:?} sweep diverged", kernel);
+        prop_assert_eq!(stats, wide_stats);
 
-            let (wide_mem, wide_stats) = reference(&plants, &paint, CLoadTagsLines::new());
-            let (mut mem, shadow) = build(&plants, &paint);
-            let stats = SweepEngine::new(kernel)
-                .sweep(SegmentSource::new(&mut mem), CLoadTagsLines::new(), &shadow);
-            prop_assert_eq!(&mem, &wide_mem, "CLoadTags {:?} sweep diverged", kernel);
-            prop_assert_eq!(stats, wide_stats);
-        }
+        let (wide_mem, wide_stats) = reference(&plants, &paint, CLoadTagsLines::new());
+        let (mut mem, shadow) = build(&plants, &paint);
+        let stats = SweepEngine::new(kernel)
+            .sweep(SegmentSource::new(&mut mem), CLoadTagsLines::new(), &shadow);
+        prop_assert_eq!(&mem, &wide_mem, "CLoadTags {:?} sweep diverged", kernel);
+        prop_assert_eq!(stats, wide_stats);
     }
 
     /// CapDirty page filtering composes with the fast kernel exactly as
@@ -172,25 +167,24 @@ proptest! {
             &shadow,
         );
 
-        for kernel in [Kernel::Fast, Kernel::Simd] {
-            let (mut mem, shadow) = build(&plants, &paint);
-            let mut table = dirty(&mem);
-            let stats = SweepEngine::new(kernel).sweep(
-                SegmentSource::new(&mut mem),
-                CapDirtyPages::new(&mut table),
-                &shadow,
-            );
-            prop_assert_eq!(&mem, &wide_mem, "CapDirty {:?} sweep diverged", kernel);
-            prop_assert_eq!(stats, wide_stats);
-            prop_assert_eq!(
-                wide_table.cap_dirty_pages(),
-                table.cap_dirty_pages(),
-                "{:?} page re-cleaning diverged", kernel
-            );
-        }
+        let kernel = Kernel::Fast;
+        let (mut mem, shadow) = build(&plants, &paint);
+        let mut table = dirty(&mem);
+        let stats = SweepEngine::new(kernel).sweep(
+            SegmentSource::new(&mut mem),
+            CapDirtyPages::new(&mut table),
+            &shadow,
+        );
+        prop_assert_eq!(&mem, &wide_mem, "CapDirty {:?} sweep diverged", kernel);
+        prop_assert_eq!(stats, wide_stats);
+        prop_assert_eq!(
+            wide_table.cap_dirty_pages(),
+            table.cap_dirty_pages(),
+            "{:?} page re-cleaning diverged", kernel
+        );
     }
 
-    /// The parallel engine running the fast or simd kernel at any worker
+    /// The parallel engine running the fast kernel at any worker
     /// count in 1..=8 matches the sequential wide reference — both
     /// unfiltered and on a chunked line-granular plan.
     #[test]
@@ -199,30 +193,29 @@ proptest! {
         paint in painted_granules(),
         workers in 1..=8usize,
     ) {
-        for kernel in [Kernel::Fast, Kernel::Simd] {
-            let (wide_mem, wide_stats) = reference(&plants, &paint, NoFilter);
-            let engine = ParallelSweepEngine::new(kernel, workers);
+        let kernel = Kernel::Fast;
+        let (wide_mem, wide_stats) = reference(&plants, &paint, NoFilter);
+        let engine = ParallelSweepEngine::new(kernel, workers);
 
-            let (mut mem, shadow) = build(&plants, &paint);
-            let stats = engine.sweep(SegmentSource::new(&mut mem), NoFilter, &shadow);
-            prop_assert_eq!(
-                &mem, &wide_mem,
-                "parallel {:?} diverged at {} workers", kernel, workers
-            );
-            prop_assert_eq!(stats, wide_stats);
+        let (mut mem, shadow) = build(&plants, &paint);
+        let stats = engine.sweep(SegmentSource::new(&mut mem), NoFilter, &shadow);
+        prop_assert_eq!(
+            &mem, &wide_mem,
+            "parallel {:?} diverged at {} workers", kernel, workers
+        );
+        prop_assert_eq!(stats, wide_stats);
 
-            let (line_mem, line_stats) = reference(&plants, &paint, EveryLine);
-            let (mut mem, shadow) = build(&plants, &paint);
-            let stats = engine.sweep(SegmentSource::new(&mut mem), EveryLine, &shadow);
-            prop_assert_eq!(
-                &mem, &line_mem,
-                "parallel line-plan {:?} diverged at {} workers", kernel, workers
-            );
-            prop_assert_eq!(stats, line_stats);
-        }
+        let (line_mem, line_stats) = reference(&plants, &paint, EveryLine);
+        let (mut mem, shadow) = build(&plants, &paint);
+        let stats = engine.sweep(SegmentSource::new(&mut mem), EveryLine, &shadow);
+        prop_assert_eq!(
+            &mem, &line_mem,
+            "parallel line-plan {:?} diverged at {} workers", kernel, workers
+        );
+        prop_assert_eq!(stats, line_stats);
     }
 
-    /// The fast and simd kernels behind every [`BackendFilter`] (stock
+    /// The fast kernel behind every [`BackendFilter`] (stock
     /// CapDirty, colored, hierarchical) match the wide reference bit for
     /// bit — memory, stats, and which pages stayed summary-dirty
     /// afterwards — sequentially and at any worker count in 1..=8.
@@ -241,35 +234,34 @@ proptest! {
                 &shadow,
             );
 
-            for kernel in [Kernel::Fast, Kernel::Simd] {
-                let (mut mem, shadow) = build_wide(&plants, &paint);
-                let mut table = summaries(&plants);
-                let stats = SweepEngine::new(kernel).sweep(
-                    SegmentSource::new(&mut mem),
-                    BackendFilter::for_epoch(kind, true, &mut table, &shadow),
-                    &shadow,
-                );
-                prop_assert_eq!(&mem, &wide_mem, "{:?} {:?} sweep diverged", kind, kernel);
-                prop_assert_eq!(stats, wide_stats);
-                prop_assert_eq!(
-                    wide_table.cap_dirty_pages(),
-                    table.cap_dirty_pages(),
-                    "{:?} {:?} summary purging diverged", kind, kernel
-                );
+            let kernel = Kernel::Fast;
+            let (mut mem, shadow) = build_wide(&plants, &paint);
+            let mut table = summaries(&plants);
+            let stats = SweepEngine::new(kernel).sweep(
+                SegmentSource::new(&mut mem),
+                BackendFilter::for_epoch(kind, true, &mut table, &shadow),
+                &shadow,
+            );
+            prop_assert_eq!(&mem, &wide_mem, "{:?} {:?} sweep diverged", kind, kernel);
+            prop_assert_eq!(stats, wide_stats);
+            prop_assert_eq!(
+                wide_table.cap_dirty_pages(),
+                table.cap_dirty_pages(),
+                "{:?} {:?} summary purging diverged", kind, kernel
+            );
 
-                let (mut mem, shadow) = build_wide(&plants, &paint);
-                let mut table = summaries(&plants);
-                let par = ParallelSweepEngine::new(kernel, workers).sweep(
-                    SegmentSource::new(&mut mem),
-                    BackendFilter::for_epoch(kind, true, &mut table, &shadow),
-                    &shadow,
-                );
-                prop_assert_eq!(
-                    &mem, &wide_mem,
-                    "{:?} parallel {:?} diverged at {} workers", kind, kernel, workers
-                );
-                prop_assert_eq!(par, wide_stats);
-            }
+            let (mut mem, shadow) = build_wide(&plants, &paint);
+            let mut table = summaries(&plants);
+            let par = ParallelSweepEngine::new(kernel, workers).sweep(
+                SegmentSource::new(&mut mem),
+                BackendFilter::for_epoch(kind, true, &mut table, &shadow),
+                &shadow,
+            );
+            prop_assert_eq!(
+                &mem, &wide_mem,
+                "{:?} parallel {:?} diverged at {} workers", kind, kernel, workers
+            );
+            prop_assert_eq!(par, wide_stats);
         }
     }
 }

@@ -4,7 +4,7 @@
 
 use cheri::Capability;
 use proptest::prelude::*;
-use revoker::{Kernel, ShadowMap, Sweeper};
+use revoker::{Kernel, NoFilter, ParallelSweepEngine, SegmentSource, ShadowMap, Sweeper};
 use tagmem::{TaggedMemory, GRANULE_SIZE};
 
 const HEAP: u64 = 0x1000_0000;
@@ -51,22 +51,27 @@ fn build(plants: &[PlantedCap], paint: &[u64]) -> (TaggedMemory, ShadowMap) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Every kernel produces byte-identical post-sweep memory and identical
-    /// statistics.
+    /// Every kernel, and the parallel engine at any worker count in 1..=8,
+    /// produces byte-identical post-sweep memory and identical statistics.
     #[test]
-    fn kernels_are_equivalent(plants in planted(), paint in painted_granules()) {
-        let kernels = [
-            Kernel::Simple,
-            Kernel::Unrolled,
-            Kernel::Wide,
-            Kernel::Parallel { threads: 3 },
-        ];
+    fn kernels_are_equivalent(
+        plants in planted(),
+        paint in painted_granules(),
+        workers in 1..=8usize,
+    ) {
         let mut outcomes = Vec::new();
-        for kernel in kernels {
+        for kernel in Kernel::ALL {
             let (mut mem, shadow) = build(&plants, &paint);
             let stats = Sweeper::new(kernel).sweep_segment(&mut mem, &shadow);
             outcomes.push((mem, stats.caps_inspected, stats.caps_revoked));
         }
+        let (mut mem, shadow) = build(&plants, &paint);
+        let stats = ParallelSweepEngine::new(Kernel::Wide, workers).sweep(
+            SegmentSource::new(&mut mem),
+            NoFilter,
+            &shadow,
+        );
+        outcomes.push((mem, stats.caps_inspected, stats.caps_revoked));
         for other in &outcomes[1..] {
             prop_assert_eq!(&outcomes[0].0, &other.0, "memory diverged");
             prop_assert_eq!(outcomes[0].1, other.1);
